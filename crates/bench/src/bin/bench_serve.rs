@@ -5,8 +5,9 @@
 //!     [-- --requests N --clients N --out FILE --json-pretty]
 //! ```
 //!
-//! Starts the HTTP server in-process and drives it over real loopback
-//! TCP with closed-loop client threads, three phases:
+//! Starts the HTTP server (`snn-pool`'s epoll front end with one
+//! engine replica) in-process and drives it over real loopback TCP
+//! with closed-loop client threads, in these phases:
 //!
 //! 1. `unbatched` — `max_batch = 1`: every request is its own forward
 //!    pass. The baseline.
@@ -33,8 +34,8 @@
 //!    (`brownout_goodput_gain` in the report).
 //!
 //! After the phases, a **capacity sweep**: the same model
-//! behind the replicated epoll front end (`snn-pool`, 2 replicas,
-//! power-of-two-choices routing), driven open-loop at Poisson rates
+//! behind the same front end with 2 replicas (power-of-two-choices
+//! routing), driven open-loop at Poisson rates
 //! bracketing the batched phase's closed-loop throughput. Open-loop
 //! arrival is the honest load model — clients do not slow down when
 //! the server does — so the sweep reports the maximum sustained rps
@@ -55,7 +56,8 @@ use std::time::{Duration, Instant};
 use serde::Serialize;
 use snn_core::{LifConfig, NetworkSnapshot, SpikingNetwork};
 use snn_quant::{calibrate, quantize_snapshot, QuantizedSnapshot};
-use snn_serve::{BatcherConfig, ModelRegistry, ServedModel, Server, ServerConfig};
+use snn_pool::{PoolServer, PoolServerConfig};
+use snn_serve::{BatcherConfig, ModelRegistry, ServedModel};
 use snn_tensor::Shape;
 
 const USAGE: &str =
@@ -141,13 +143,14 @@ fn main() {
                 // Tracing and SLO config come from the environment
                 // (`SNN_TRACE_RING=0` is how the tracing-overhead
                 // comparison is run against the same binary).
-                let cfg = ServerConfig {
+                let cfg = PoolServerConfig {
                     addr: "127.0.0.1:0".into(),
+                    replicas: 1,
                     batcher: batcher.clone(),
                     default_timeout: Some(Duration::from_secs(30)),
-                    ..ServerConfig::default()
+                    ..PoolServerConfig::default()
                 };
-                let mut server = Server::start(registry, cfg).expect("server starts");
+                let mut server = PoolServer::start(registry, cfg).expect("server starts");
                 let phase = run_phase(
                     name,
                     model.dtype(),
@@ -232,14 +235,15 @@ fn main() {
                         .publish_brownout(dense_int8.clone(), "bench-int8")
                         .expect("int8 artifact publishes");
                 }
-                let cfg = ServerConfig {
+                let cfg = PoolServerConfig {
                     addr: "127.0.0.1:0".into(),
+                    replicas: 1,
                     batcher: batcher.clone(),
                     default_timeout: Some(Duration::from_secs(30)),
                     slo: Some(snn_obs::SloConfig::parse("avail=99").expect("valid SLO")),
-                    ..ServerConfig::default()
+                    ..PoolServerConfig::default()
                 };
-                let mut server = Server::start(registry, cfg).expect("server starts");
+                let mut server = PoolServer::start(registry, cfg).expect("server starts");
                 // Seed the availability budget with hard failures so
                 // the fast-burn signal is already firing when traffic
                 // arrives; brownout hysteresis (default 10s hold)
@@ -285,14 +289,14 @@ fn main() {
         let registry = Arc::new(
             ModelRegistry::new(f32_model.clone(), "bench").expect("demo model is valid"),
         );
-        let cfg = snn_pool::PoolServerConfig {
+        let cfg = PoolServerConfig {
             addr: "127.0.0.1:0".into(),
             replicas: 2,
             batcher: pool_batcher,
             default_timeout: Some(Duration::from_secs(30)),
-            ..snn_pool::PoolServerConfig::default()
+            ..PoolServerConfig::default()
         };
-        let mut pool = snn_pool::PoolServer::start(registry, cfg).expect("pool server starts");
+        let mut pool = PoolServer::start(registry, cfg).expect("pool server starts");
         let anchor = batched.throughput_rps.max(50.0);
         // The lowest rung sits well below any plausible knee so the
         // sweep brackets capacity from both sides — a ladder that
@@ -592,7 +596,7 @@ fn stage_breakdowns(histograms: &[snn_obs::HistogramSnapshot]) -> Vec<StageBreak
 fn run_phase(
     name: &str,
     dtype: &str,
-    server: &Server,
+    server: &PoolServer,
     cfg: &BatcherConfig,
     input_len: usize,
     requests: usize,

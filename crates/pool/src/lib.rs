@@ -1,24 +1,23 @@
 //! # snn-pool
 //!
-//! Scale-out serving: N replicated inference engines behind a
+//! The model server: N ≥ 1 replicated inference engines behind a
 //! nonblocking, event-driven HTTP front end, plus the open-loop load
 //! generator that measures what the arrangement is worth.
 //!
 //! The paper's deployment argument — hardware-aware SNN tuning pays
-//! off at serving time — runs through sustained-load behavior, and the
-//! single-worker [`snn_serve::Server`] has two scaling walls: one
-//! thread per connection (memory + scheduler pressure under high
-//! connection counts) and one batch worker (one engine's throughput).
-//! This crate removes both:
+//! off at serving time — runs through sustained-load behavior, which
+//! has two scaling walls: a thread per connection (memory + scheduler
+//! pressure under high connection counts) and a single batch worker
+//! (one engine's throughput). This crate avoids both:
 //!
 //! * [`epoll`] — hand-rolled, hermetic epoll bindings (the only
 //!   `unsafe` in the workspace, confined to four FFI declarations
 //!   against the C library `std` already links).
-//! * [`server`] — [`PoolServer`]: a single-threaded readiness loop
-//!   multiplexing every connection through nonblocking accept/read/
-//!   write state machines. Protocol behavior reuses `snn-serve`'s
-//!   parsers and response builders, so both front ends answer
-//!   byte-identically.
+//! * [`server`] — [`PoolServer`], the workspace's one HTTP server: a
+//!   single-threaded readiness loop multiplexing every connection
+//!   through nonblocking accept/read/write state machines, woken by
+//!   the batch workers as soon as they send replies. Protocol behavior
+//!   reuses `snn-serve`'s parsers and response builders.
 //! * [`pool`] — [`ReplicaPool`]: N [`snn_serve::Batcher`] replicas
 //!   (each its own engine, bounded queue, and circuit breaker) behind
 //!   a power-of-two-choices router with breaker-aware fallback and

@@ -29,6 +29,7 @@
 //! instead of serving errors. The last serving replica is never
 //! quarantined: degraded capacity beats none.
 
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -140,9 +141,11 @@ pub struct ReplicaPool {
     registry: Arc<ModelRegistry>,
     metrics: Arc<Metrics>,
     labeled: Registry,
-    /// Per-replica batcher configuration (fault site renamed to
-    /// `pool.replica`), kept for supervisor rebuilds.
+    /// Per-replica batcher configuration, kept for supervisor rebuilds.
     batcher_cfg: BatcherConfig,
+    /// Handed to every batcher this pool starts (rebuilds included), so
+    /// the front end wakes when any replica sends replies.
+    reply_signal: Option<Arc<UnixStream>>,
     quarantine_trips: u32,
     quarantine_total: Arc<Counter>,
     quarantine_readmitted: Arc<Counter>,
@@ -167,7 +170,8 @@ impl ReplicaPool {
     /// registry. All replicas report into the one shared `metrics`
     /// (additive counters aggregate correctly; the non-additive
     /// gauges are re-derived at scrape time by
-    /// [`ReplicaPool::refresh_gauges`]).
+    /// [`ReplicaPool::refresh_gauges`]). `reply_signal` goes to every
+    /// replica's [`Batcher::start`], including supervisor rebuilds.
     ///
     /// # Errors
     ///
@@ -177,20 +181,18 @@ impl ReplicaPool {
         registry: Arc<ModelRegistry>,
         cfg: PoolConfig,
         metrics: Arc<Metrics>,
+        reply_signal: Option<Arc<UnixStream>>,
     ) -> Result<ReplicaPool, snn_core::SnapshotError> {
         let n = cfg.replicas.max(1);
         let labeled = Registry::new();
-        // Replica workers inject at `pool.replica`, not `serve.worker`,
-        // so chaos plans can kill pool replicas without also killing
-        // classic single-worker servers sharing the process (tests).
-        let mut batcher_cfg = cfg.batcher.clone();
-        batcher_cfg.fault_site = "pool.replica".into();
+        let batcher_cfg = cfg.batcher;
         let mut replicas = Vec::with_capacity(n);
         for i in 0..n {
             let batcher = Arc::new(Batcher::start(
                 Arc::clone(&registry),
                 batcher_cfg.clone(),
                 Arc::clone(&metrics),
+                reply_signal.clone(),
             )?);
             let instruments = ReplicaInstruments {
                 queue_depth: labeled.gauge(
@@ -262,6 +264,7 @@ impl ReplicaPool {
             metrics,
             labeled,
             batcher_cfg,
+            reply_signal,
             quarantine_trips: cfg.quarantine_trips.max(1),
             quarantine_total,
             quarantine_readmitted,
@@ -551,6 +554,7 @@ impl ReplicaPool {
             Arc::clone(&self.registry),
             self.batcher_cfg.clone(),
             Arc::clone(&self.metrics),
+            self.reply_signal.clone(),
         ) {
             Ok(fresh) => {
                 let mut slot = r.batcher.write().unwrap_or_else(|p| p.into_inner());
@@ -642,7 +646,7 @@ mod tests {
             slo: None,
             quarantine_trips,
         };
-        ReplicaPool::start(registry, cfg, metrics).unwrap()
+        ReplicaPool::start(registry, cfg, metrics, None).unwrap()
     }
 
     /// The full self-healing arc: a replica whose worker panics trips
@@ -652,7 +656,7 @@ mod tests {
     /// surviving replica keeps serving.
     #[test]
     fn tripped_replica_is_quarantined_rebuilt_and_readmitted() {
-        let plan = snn_fault::FaultPlan::parse("panic@pool.replica:1", 7).unwrap();
+        let plan = snn_fault::FaultPlan::parse("panic@serve.worker:1", 7).unwrap();
         let _guard = snn_fault::install(Arc::new(plan));
         let pool = pool_with_quarantine(1);
         let input = vec![0.1f32; pool.input_len()];
@@ -713,7 +717,7 @@ mod tests {
     fn last_serving_replica_is_never_quarantined() {
         // Both replicas' first batches panic; with threshold 1 both
         // breakers open.
-        let plan = snn_fault::FaultPlan::parse("panic@pool.replica:1,panic@pool.replica:2", 7)
+        let plan = snn_fault::FaultPlan::parse("panic@serve.worker:1,panic@serve.worker:2", 7)
             .unwrap();
         let _guard = snn_fault::install(Arc::new(plan));
         let pool = pool_with_quarantine(1);

@@ -1,20 +1,21 @@
-//! The nonblocking, event-driven HTTP front end.
+//! The nonblocking, event-driven HTTP front end — the workspace's one
+//! HTTP server, with one or more engine replicas behind it.
 //!
 //! One thread, one [`Epoll`] instance, no per-connection threads: the
 //! readiness loop multiplexes every connection through nonblocking
 //! accept/read/write state machines and hands parsed `/infer` bodies
 //! to the [`ReplicaPool`] router. In-flight replies come back through
-//! [`snn_serve::Ticket::try_wait`] polling — while any request is in
-//! flight the loop ticks at 1ms; fully idle it sleeps in `epoll_wait`
-//! until the kernel has something to say.
+//! [`snn_serve::Ticket::try_wait`]. The loop never polls for them on a
+//! timer: every batch worker writes one byte to a socket pair after
+//! each round of replies, the read end sits in the same [`Epoll`], and
+//! the loop collects finished tickets when it wakes. With requests in
+//! flight it otherwise sleeps only until the earliest engine give-up
+//! instant; fully idle it wakes every 250ms to sweep idle connections.
 //!
-//! Protocol behavior is *defined* to match the thread-per-connection
-//! [`snn_serve::Server`]: the head parser, body framing limits, route
-//! table, response builders, and status mapping are all the same
-//! functions (`snn_serve::{parse_head, infer_success_body,
-//! format_response, …}`), so a response that differs byte-for-byte
-//! between the two front ends is a bug by construction, and the
-//! identity is pinned by an integration test.
+//! The head parser, body framing limits, response builders, and status
+//! mapping live in `snn-serve` (`snn_serve::{parse_head,
+//! infer_success_body, format_response, …}`); this module owns the
+//! route table and the connection state machines.
 //!
 //! Connection lifecycle:
 //!
@@ -32,8 +33,8 @@
 //!   │     ▼                                   │           ▼
 //!   │   idle > IDLE_TIMEOUT → close           │      [InFlight]
 //!   │                                         │   ticket.try_wait()
-//!   │                                         │   each tick; engine
-//!   │                                         │   timeout → 503
+//!   │                                         │   on reply signal;
+//!   │                                         │   engine timeout → 503
 //!   │                                         ▼           │
 //!   └───────────keep-alive────────────── [respond] <──────┘
 //!                                 (write, EPOLLOUT if blocked)
@@ -48,6 +49,7 @@ use std::collections::{HashMap, HashSet};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -66,17 +68,19 @@ use crate::epoll::{Epoll, Event, Interest};
 use crate::pool::{PoolConfig, ReplicaPool};
 
 const LISTENER_TOKEN: u64 = 0;
-/// Tick granularity while requests are in flight (ticket polling).
-const BUSY_TICK: Duration = Duration::from_millis(1);
-/// Tick granularity while fully idle (shutdown flag + idle sweeps).
+/// Token of the read end of the batch workers' reply signal.
+const REPLY_SIGNAL_TOKEN: u64 = 1;
+/// Longest the loop sleeps (shutdown flag, idle sweeps, supervisor).
 const IDLE_TICK: Duration = Duration::from_millis(250);
+/// Tick while draining: the exit condition (last connection gone) is
+/// polled, not event-driven.
+const DRAIN_TICK: Duration = Duration::from_millis(1);
 /// How long a drain lets an apparently-idle connection live before
 /// dropping it — covers a request whose bytes were written by the peer
 /// but not yet surfaced by the kernel when the drain began.
 const DRAIN_IDLE_GRACE: Duration = Duration::from_millis(100);
 
-/// Pool server tuning knobs; mirrors [`snn_serve::ServerConfig`] plus
-/// the replica count.
+/// Pool server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct PoolServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
@@ -148,15 +152,26 @@ impl PoolServer {
             slo: cfg.slo,
             quarantine_trips: cfg.quarantine_trips,
         };
+        let (replies, reply_signal) = UnixStream::pair().map_err(ServeError::Io)?;
+        replies.set_nonblocking(true).map_err(ServeError::Io)?;
+        reply_signal.set_nonblocking(true).map_err(ServeError::Io)?;
         let pool = Arc::new(
-            ReplicaPool::start(Arc::clone(&registry), pool_cfg, Arc::clone(&metrics))
-                .map_err(ServeError::Snapshot)?,
+            ReplicaPool::start(
+                Arc::clone(&registry),
+                pool_cfg,
+                Arc::clone(&metrics),
+                Some(Arc::new(reply_signal)),
+            )
+            .map_err(ServeError::Snapshot)?,
         );
         let listener = TcpListener::bind(&cfg.addr).map_err(ServeError::Io)?;
         listener.set_nonblocking(true).map_err(ServeError::Io)?;
         let addr = listener.local_addr().map_err(ServeError::Io)?;
         let epoll = Epoll::new().map_err(ServeError::Io)?;
         epoll.add(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ).map_err(ServeError::Io)?;
+        epoll
+            .add(replies.as_raw_fd(), REPLY_SIGNAL_TOKEN, Interest::READ)
+            .map_err(ServeError::Io)?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let drain = Arc::new(AtomicBool::new(false));
         if cfg.handle_sigterm {
@@ -176,6 +191,7 @@ impl PoolServer {
             let ev = EventLoop {
                 epoll,
                 listener: Some(listener),
+                replies,
                 pool: Arc::clone(&pool),
                 metrics: Arc::clone(&metrics),
                 default_timeout: cfg.default_timeout,
@@ -187,7 +203,7 @@ impl PoolServer {
                 open_connections: Arc::clone(&open_connections),
                 conns: HashMap::new(),
                 inflight: HashSet::new(),
-                next_token: 1,
+                next_token: REPLY_SIGNAL_TOKEN + 1,
             };
             thread::Builder::new()
                 .name("snn-pool-loop".into())
@@ -317,7 +333,7 @@ struct InFlightReq {
 }
 
 /// Outcome details captured for the trace record of a finished
-/// request (mirror of the classic front end's `TraceCapture`).
+/// request.
 #[derive(Default)]
 struct Finish {
     outcome: &'static str,
@@ -334,6 +350,8 @@ struct EventLoop {
     epoll: Epoll,
     /// `None` once a drain closed it (new connects are refused).
     listener: Option<TcpListener>,
+    /// Read end of the reply signal every batch worker writes to.
+    replies: UnixStream,
     pool: Arc<ReplicaPool>,
     metrics: Arc<Metrics>,
     default_timeout: Option<Duration>,
@@ -373,14 +391,7 @@ impl EventLoop {
                     break;
                 }
             }
-            // While draining, tick fast regardless of in-flight state:
-            // the exit condition (last connection gone) is polled, not
-            // event-driven.
-            let tick = if drain_deadline.is_some() || !self.inflight.is_empty() {
-                BUSY_TICK
-            } else {
-                IDLE_TICK
-            };
+            let tick = if drain_deadline.is_some() { DRAIN_TICK } else { self.sleep_limit() };
             if let Err(e) = self.epoll.wait(&mut events, Some(tick)) {
                 snn_obs::log_warn!("epoll_wait failed", error = e.to_string());
                 break;
@@ -391,6 +402,8 @@ impl EventLoop {
             for ev in std::mem::take(&mut events) {
                 if ev.token == LISTENER_TOKEN {
                     self.accept_ready();
+                } else if ev.token == REPLY_SIGNAL_TOKEN {
+                    self.drain_reply_signal();
                 } else {
                     self.drive(ev);
                 }
@@ -414,6 +427,35 @@ impl EventLoop {
             // `inflight` still holds tokens of requests that never
             // resolved before the deadline — the drain's casualty count.
             snn_obs::log_info!("drain complete", abandoned = self.inflight.len() as u64);
+        }
+    }
+
+    /// How long the loop may sleep with requests in flight: until the
+    /// earliest engine give-up instant, capped at [`IDLE_TICK`]. Replies
+    /// themselves wake the loop through the reply signal.
+    fn sleep_limit(&self) -> Duration {
+        let now = Instant::now();
+        self.inflight
+            .iter()
+            .filter_map(|token| match &self.conns.get(token)?.state {
+                ConnState::InFlight(req) => req.give_up,
+                _ => None,
+            })
+            .map(|t| t.saturating_duration_since(now))
+            .fold(IDLE_TICK, Duration::min)
+    }
+
+    /// Empties the reply signal's read end. The loop is level-triggered,
+    /// so leftover bytes would wake it again at once; bytes written
+    /// after this point wake the next wait, so no reply is missed.
+    fn drain_reply_signal(&self) {
+        let mut buf = [0u8; 256];
+        loop {
+            match (&self.replies).read(&mut buf) {
+                Ok(n) if n > 0 => {}
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                _ => return,
+            }
         }
     }
 
@@ -599,8 +641,7 @@ impl EventLoop {
                         }
                     };
                     if head.content_length > MAX_BODY {
-                        // Refuse before reading a byte of the payload,
-                        // exactly like the classic front end.
+                        // Refuse before reading a byte of the payload.
                         self.metrics.bad_requests.inc();
                         self.respond_error(
                             conn,
@@ -804,9 +845,7 @@ impl EventLoop {
     }
 
     /// Builds and queues the `/infer` response once its ticket
-    /// resolved (`None` = engine timeout), with the same status
-    /// mapping, SLO accounting, and trace stages as the classic front
-    /// end.
+    /// resolved (`None` = engine timeout).
     fn complete_infer(
         &mut self,
         conn: &mut Conn,
@@ -861,9 +900,13 @@ impl EventLoop {
         conn.idle_since = Instant::now();
     }
 
-    /// Mirrors the classic front end's `finish_request`: SLO
-    /// accounting (availability excludes client errors), the HTTP-side
-    /// stage histograms, and the tail-sampled trace record.
+    /// Finishes a request's bookkeeping after its response is queued:
+    /// SLO accounting (availability excludes client errors), the
+    /// HTTP-side stage histograms, and the tail-sampled trace record.
+    /// The five stages partition the wall clock: `forward` is the
+    /// in-flight remainder between submit and reply minus the
+    /// worker-attributed queue and batch-form time, and `respond`
+    /// covers serialization and the socket write.
     fn finish(
         &self,
         path: &str,
@@ -1004,8 +1047,8 @@ impl EventLoop {
 
     /// Closes keep-alive connections idle past [`IDLE_TIMEOUT`]. A
     /// connection mid-request (partial head/body, in-flight ticket, or
-    /// a draining response) is exempt — matching the classic front
-    /// end, which only times out between requests.
+    /// a draining response) is exempt: only the gap between requests
+    /// times out.
     fn sweep_idle(&mut self) {
         for conn in self.conns.values_mut() {
             if matches!(conn.state, ConnState::Head)

@@ -31,17 +31,17 @@
 //!   never a hang); repeated failures open the circuit, shedding load
 //!   until a half-open probe succeeds. `/healthz` reports `degraded`
 //!   while the circuit is not closed.
-//! * [`http`] — [`Server`]: a minimal hermetic HTTP/1.1 front end on
-//!   `std::net::TcpListener` with `/infer`, `/healthz`, `/metrics`,
-//!   `/reload`, and `/debug/traces`. The parsing and rendering
-//!   primitives ([`http::parse_head`], [`http::parse_infer_body`],
-//!   [`http::infer_success_body`], [`http::format_response`], …) are
-//!   public so the `snn-pool` event-driven front end produces
-//!   byte-identical responses by construction.
+//! * [`http`] — the HTTP/1.1 protocol layer for `/infer`, `/healthz`,
+//!   `/metrics`, `/reload`, and `/debug/traces`: framing limits and
+//!   the head parser ([`http::parse_head`]), the `/infer` body decoder
+//!   ([`http::parse_infer_body`]), and the response builders
+//!   ([`http::infer_success_body`], [`http::format_response`], …). The
+//!   server that speaks it — sockets, route table, connection state —
+//!   is the epoll front end `snn_pool::PoolServer`.
 //!
 //! ## Observability
 //!
-//! Every request is minted a [`snn_obs::TraceContext`] at accept and
+//! The front end mints every request a [`snn_obs::TraceContext`] and
 //! answers with an `x-snn-trace-id` header; the context travels by
 //! value through the [`Batcher`] into the worker, so spans and
 //! structured log records down to kernel dispatch attach to the
@@ -70,7 +70,7 @@
 //!     Arc::new(ModelRegistry::new(NetworkSnapshot::from_network(&net), "demo").unwrap());
 //! let metrics = Arc::new(Metrics::default());
 //! let batcher =
-//!     Batcher::start(registry, BatcherConfig::default(), metrics).unwrap();
+//!     Batcher::start(registry, BatcherConfig::default(), metrics, None).unwrap();
 //! let ticket = batcher.submit(vec![1.0; 64], None).unwrap();
 //! let reply = ticket.wait().unwrap();
 //! assert_eq!(reply.output.counts.len(), 4);
@@ -96,8 +96,8 @@ pub use engine::{InferenceEngine, LayerFiring, RequestOutput};
 pub use http::{
     apply_reload, content_type_error, error_body, find_head_end, format_response, healthz_body,
     infer_success_body, parse_head, parse_infer_body, rejection_status, trace_get_response,
-    traces_list_response, RequestHead, ServeError, Server, ServerConfig, ENGINE_GRACE,
-    IDLE_TIMEOUT, MAX_BODY, MAX_HEAD,
+    traces_list_response, RequestHead, ServeError, ENGINE_GRACE, IDLE_TIMEOUT, MAX_BODY,
+    MAX_HEAD,
 };
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use qengine::{AnyEngine, QuantEngine};

@@ -26,6 +26,8 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::io::Write;
+use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
@@ -65,11 +67,6 @@ pub struct BatcherConfig {
     /// limit starting at `capacity` (no behavior change until
     /// congestion evidence arrives).
     pub admission: AdmissionConfig,
-    /// Injection-site name the worker's panic checkpoint uses. The
-    /// pool front end renames its replicas' workers to `pool.replica`
-    /// so chaos plans can kill a replica without touching classic
-    /// single-worker servers.
-    pub fault_site: String,
 }
 
 impl Default for BatcherConfig {
@@ -82,7 +79,6 @@ impl Default for BatcherConfig {
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_millis(250),
             admission: AdmissionConfig::default(),
-            fault_site: "serve.worker".into(),
         }
     }
 }
@@ -190,21 +186,11 @@ impl Ticket {
         self.rx.recv().unwrap_or(Err(Rejection::ShuttingDown))
     }
 
-    /// Like [`Ticket::wait`] but gives up after `timeout`; `None`
-    /// means the request is still in flight (and stays so — the ticket
-    /// is consumed).
-    pub fn wait_timeout(self, timeout: Duration) -> Option<Result<InferReply, Rejection>> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(r) => Some(r),
-            Err(mpsc::RecvTimeoutError::Timeout) => None,
-            Err(mpsc::RecvTimeoutError::Disconnected) => Some(Err(Rejection::ShuttingDown)),
-        }
-    }
-
     /// Nonblocking poll: `None` while the request is still in flight,
-    /// `Some` once it resolved. Unlike the `wait*` methods this takes
+    /// `Some` once it resolved. Unlike [`Ticket::wait`] this takes
     /// `&mut self`, so an event loop can keep the ticket and poll it
-    /// each tick. A vanished worker reads as [`Rejection::ShuttingDown`].
+    /// whenever it wakes. A vanished worker reads as
+    /// [`Rejection::ShuttingDown`].
     pub fn try_wait(&mut self) -> Option<Result<InferReply, Rejection>> {
         match self.rx.try_recv() {
             Ok(r) => Some(r),
@@ -262,6 +248,12 @@ impl Batcher {
     /// Builds the engine from the registry's current model and starts
     /// the worker thread.
     ///
+    /// `reply_signal` is for callers that poll tickets with
+    /// [`Ticket::try_wait`] instead of blocking on them: the worker
+    /// writes one byte to it (nonblocking, errors ignored) after every
+    /// round of replies it sends — served, deadline-shed, panicked or
+    /// drained at shutdown — so the poller can sleep until then.
+    ///
     /// # Errors
     ///
     /// Returns [`SnapshotError`] if the engine cannot be built (e.g.
@@ -270,6 +262,7 @@ impl Batcher {
         registry: Arc<ModelRegistry>,
         cfg: BatcherConfig,
         metrics: Arc<Metrics>,
+        reply_signal: Option<Arc<UnixStream>>,
     ) -> Result<Self, SnapshotError> {
         let engine_version = registry.version();
         let engine = AnyEngine::new(&registry.current().model, cfg.timesteps)?;
@@ -304,6 +297,7 @@ impl Batcher {
                         admission,
                         engine,
                         engine_version,
+                        reply_signal,
                     )
                 })
                 .expect("spawning batch worker")
@@ -353,28 +347,15 @@ impl Batcher {
         input: Vec<f32>,
         deadline: Option<Instant>,
     ) -> Result<Ticket, Rejection> {
-        self.submit_traced(input, deadline, None)
+        self.submit_inner(input.len(), move || input, deadline, None)
     }
 
-    /// [`Batcher::submit`] with the owning request's [`TraceContext`]
-    /// attached; the worker installs it around the batch it rides in.
-    ///
-    /// # Errors
-    ///
-    /// Same rejections as [`Batcher::submit`].
-    pub fn submit_traced(
-        &self,
-        input: Vec<f32>,
-        deadline: Option<Instant>,
-        trace: Option<TraceContext>,
-    ) -> Result<Ticket, Rejection> {
-        self.submit_inner(input.len(), move || input, deadline, trace)
-    }
-
-    /// [`Batcher::submit_traced`] over a borrowed input: the slice is
-    /// cloned only once admission succeeds (at enqueue), so the pool
-    /// router can retry the same request against another replica after
-    /// a rejection without re-allocating per attempt.
+    /// [`Batcher::submit`] over a borrowed input, with the owning
+    /// request's [`TraceContext`] attached (the worker installs it
+    /// around the batch it rides in). The slice is cloned only once
+    /// admission succeeds (at enqueue), so the pool router can retry
+    /// the same request against another replica after a rejection
+    /// without re-allocating per attempt.
     ///
     /// # Errors
     ///
@@ -477,7 +458,15 @@ fn run_worker(
     admission: Arc<AimdController>,
     engine: AnyEngine,
     mut engine_version: u64,
+    reply_signal: Option<Arc<UnixStream>>,
 ) {
+    // A full socket buffer means a wakeup is already pending, so a
+    // failed write loses nothing.
+    let signal = || {
+        if let Some(mut s) = reply_signal.as_deref() {
+            let _ = s.write(&[1]);
+        }
+    };
     // `None` after a caught panic: the engine's scratch state may be
     // torn mid-forward-pass, so the next batch rebuilds from the
     // registry instead of trusting it.
@@ -504,6 +493,7 @@ fn run_worker(
             for job in drained {
                 let _ = job.tx.send(Err(Rejection::ShuttingDown));
             }
+            signal();
             return;
         }
 
@@ -540,29 +530,30 @@ fn run_worker(
         // the clock per job would let a large batch straddle the
         // deadline mid-scan, shedding a later job that an earlier,
         // identical deadline survived.
-        let mut batch: Vec<Job> = Vec::with_capacity(taken.len());
-        let mut shed_wait = Duration::ZERO;
-        for job in taken {
-            match job.deadline {
-                Some(d) if drained_at >= d => {
-                    metrics.rejected_deadline.inc();
-                    let waited = drained_at - job.enqueued;
-                    shed_wait = shed_wait.max(waited);
-                    let waited_us = waited.as_micros() as u64;
-                    let _scope = job.trace.map(snn_obs::tracectx::set_scope);
-                    snn_obs::log_warn!("request shed", reason = "deadline", waited_us = waited_us);
-                    let _ = job.tx.send(Err(Rejection::DeadlineExceeded { waited_us }));
-                }
-                _ => batch.push(job),
-            }
-        }
+        let (shed, batch): (Vec<Job>, Vec<Job>) = taken
+            .into_iter()
+            .partition(|job| job.deadline.is_some_and(|d| drained_at >= d));
+        let shed_wait =
+            shed.iter().map(|job| drained_at - job.enqueued).max().unwrap_or(Duration::ZERO);
         if shed_wait > Duration::ZERO {
             // A deadline shed is queue wait with nothing to show for
-            // it — the strongest congestion evidence there is.
+            // it — the strongest congestion evidence there is. Observed
+            // before the rejections go out, as for served batches, so a
+            // shed client already sees the limit its shed caused.
             if admission.observe(shed_wait, Duration::ZERO) {
                 metrics.admit_decreases.inc();
             }
             metrics.admit_limit.set(admission.limit());
+        }
+        for job in &shed {
+            metrics.rejected_deadline.inc();
+            let waited_us = (drained_at - job.enqueued).as_micros() as u64;
+            let _scope = job.trace.map(snn_obs::tracectx::set_scope);
+            snn_obs::log_warn!("request shed", reason = "deadline", waited_us = waited_us);
+            let _ = job.tx.send(Err(Rejection::DeadlineExceeded { waited_us }));
+        }
+        if !shed.is_empty() {
+            signal();
         }
         if batch.is_empty() {
             continue;
@@ -582,7 +573,7 @@ fn run_worker(
         // worker thread — a dead worker would hang every future ticket.
         let inputs: Vec<Vec<f32>> = batch.iter().map(|j| j.input.clone()).collect();
         let attempt = catch_unwind(AssertUnwindSafe(|| {
-            snn_fault::inject_panic(&cfg.fault_site);
+            snn_fault::inject_panic("serve.worker");
 
             // Phase 5: if the model was hot-swapped (or the engine was
             // discarded after a panic), rebuild so a batch never mixes
@@ -652,6 +643,7 @@ fn run_worker(
                 for job in batch {
                     let _ = job.tx.send(Err(Rejection::WorkerPanic));
                 }
+                signal();
                 continue;
             }
         };
@@ -697,6 +689,7 @@ fn run_worker(
                 model_version: engine_version,
             }));
         }
+        signal();
     }
 }
 
@@ -727,7 +720,7 @@ mod tests {
         let registry = Arc::new(ModelRegistry::new(snapshot(11), "test").unwrap());
         let metrics = Arc::new(Metrics::default());
         let batcher =
-            Batcher::start(Arc::clone(&registry), cfg, Arc::clone(&metrics)).unwrap();
+            Batcher::start(Arc::clone(&registry), cfg, Arc::clone(&metrics), None).unwrap();
         (registry, metrics, batcher)
     }
 
@@ -1048,6 +1041,7 @@ mod tests {
                 ..BatcherConfig::default()
             },
             Arc::clone(&metrics),
+            None,
         )
         .unwrap();
 
@@ -1075,6 +1069,46 @@ mod tests {
     }
 
     const MIN_EVENTS_FOR_BURN_TEST: usize = 10;
+
+    #[test]
+    fn reply_signal_follows_every_round_of_replies() {
+        use std::io::Read;
+        let (replies, signal) = UnixStream::pair().unwrap();
+        replies.set_nonblocking(true).unwrap();
+        signal.set_nonblocking(true).unwrap();
+        // The signal is written just after the replies are sent, so
+        // poll briefly for it.
+        let signalled = || {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while Instant::now() < deadline {
+                if matches!((&replies).read(&mut [0u8; 64]), Ok(n) if n > 0) {
+                    return true;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            false
+        };
+        let plan =
+            Arc::new(snn_fault::FaultPlan::parse("panic@serve.worker:1", 0).unwrap());
+        let _guard = snn_fault::install(plan);
+        let registry = Arc::new(ModelRegistry::new(snapshot(11), "test").unwrap());
+        let cfg = BatcherConfig {
+            max_wait: Duration::from_millis(20),
+            timesteps: 2,
+            ..BatcherConfig::default()
+        };
+        let batcher =
+            Batcher::start(registry, cfg, Arc::new(Metrics::default()), Some(Arc::new(signal)))
+                .unwrap();
+        let err = batcher.submit(input(1), None).unwrap().wait().unwrap_err();
+        assert_eq!(err, Rejection::WorkerPanic);
+        assert!(signalled(), "no signal after a panicked batch");
+        batcher.submit(input(2), None).unwrap().wait().unwrap();
+        assert!(signalled(), "no signal after a served batch");
+        let doomed = batcher.submit(input(3), Some(Instant::now() + Duration::from_millis(1)));
+        assert!(matches!(doomed.unwrap().wait(), Err(Rejection::DeadlineExceeded { .. })));
+        assert!(signalled(), "no signal after a deadline shed");
+    }
 
     #[test]
     fn shutdown_rejects_queued_and_new_work() {

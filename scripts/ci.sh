@@ -27,10 +27,11 @@ cargo test -q --offline
 cargo test -q --offline -p snn-core -p snn-serve -p snn-pool -p snn-cli
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-# Serve smoke test: boot the model server on an ephemeral port, round
-# trip /healthz and /infer, and shut it down cleanly. SNN_LOG and
-# SNN_SLO are set so the trace smoke test below also covers the
-# structured event log and the SLO burn-rate gauges.
+# Serve smoke test: boot the model server on an ephemeral port (the
+# epoll front end with its default single replica), round trip
+# /healthz and /infer, and require a SIGTERM to drain it to exit 0.
+# SNN_LOG and SNN_SLO are set so the trace smoke test below also
+# covers the structured event log and the SLO burn-rate gauges.
 serve_log="$(mktemp)"
 events_log="$(mktemp)"
 SNN_LOG="info:$events_log" SNN_SLO="p99=25ms,avail=99.9" \
@@ -47,6 +48,8 @@ for _ in $(seq 50); do
   sleep 0.1
 done
 [ -n "$addr" ] || { cat "$serve_log"; echo "ci.sh: serve never reported its address" >&2; exit 1; }
+grep -q '^pool: 1 replica,' "$serve_log" \
+  || { cat "$serve_log"; echo "ci.sh: serve did not report its single-replica pool" >&2; exit 1; }
 
 health="$(curl -sf --max-time 5 "http://$addr/healthz")" \
   || { cat "$serve_log"; echo "ci.sh: /healthz request failed" >&2; exit 1; }
@@ -110,8 +113,11 @@ target/release/snn obs-check --traces "$traces_list" --log "$events_log" \
 rm -f "$headers" "$trace_json" "$traces_list"
 echo "ci.sh: request-tracing smoke test passed ($trace_id)"
 
-kill "$serve_pid"
-wait "$serve_pid" 2>/dev/null || true
+kill -TERM "$serve_pid"
+serve_rc=0
+wait "$serve_pid" || serve_rc=$?
+[ "$serve_rc" -eq 0 ] \
+  || { cat "$serve_log"; echo "ci.sh: serve SIGTERM drain exited with status $serve_rc" >&2; exit 1; }
 trap - EXIT
 rm -f "$serve_log" "$events_log"
 echo "ci.sh: serve smoke test passed ($addr)"
@@ -346,7 +352,7 @@ heal_text="$(mktemp)"
 heal_json="$(mktemp)"
 heal_pid=""
 trap 'kill "$heal_pid" 2>/dev/null || true; rm -f "$heal_log" "$heal_text" "$heal_json"' EXIT
-SNN_FAULTS="panic@pool.replica:3" \
+SNN_FAULTS="panic@serve.worker:3" \
   target/release/snn serve --demo 8 --addr 127.0.0.1:0 --timesteps 2 --replicas 2 \
   --breaker-threshold 1 --quarantine-trips 1 --drain-ms 3000 >"$heal_log" 2>&1 &
 heal_pid=$!
