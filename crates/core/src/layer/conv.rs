@@ -6,7 +6,7 @@ use snn_tensor::{Init, Shape, Tensor};
 
 use crate::neuron::{lif_backward_step, lif_step, lif_step_masked, LifConfig, LifState};
 
-use super::{LayerActivity, ParamMut};
+use super::{CurrentMemo, LayerActivity, ParamMut};
 
 /// A 2-D convolution whose output current drives a population of LIF
 /// neurons, producing binary spike maps.
@@ -40,6 +40,10 @@ pub struct SpikingConv2d {
     /// Reusable im2col / spike-index buffers; allocated once per
     /// sequence instead of once per timestep.
     scratch: ConvScratch,
+    /// The sequence's first conv output and its route. On a hit,
+    /// `scratch`'s touch mask is still the memoized call's: only this
+    /// layer's forward writes it.
+    memo: CurrentMemo<ConvRoute>,
 }
 
 impl SpikingConv2d {
@@ -71,6 +75,7 @@ impl SpikingConv2d {
             total_spikes: 0.0,
             neuron_steps: 0.0,
             scratch: ConvScratch::new(),
+            memo: CurrentMemo::new(),
         }
     }
 
@@ -88,14 +93,19 @@ impl SpikingConv2d {
         self.carry_u = None;
         self.total_spikes = 0.0;
         self.neuron_steps = 0.0;
+        self.memo.clear();
     }
 
     pub(crate) fn forward_step(&mut self, input: &Tensor) -> Tensor {
         let batch = input.shape().dim(0);
         let out_shape = Shape::d4(batch, self.geom.out_channels, self.geom.out_h(), self.geom.out_w());
+        let first_step = self.state.is_none();
         let (current, route) =
-            conv2d_forward_routed(&self.geom, input, &self.weight, &self.bias, &mut self.scratch)
-                .expect("conv geometry validated at construction");
+            self.memo.get_or_compute(first_step, [input, &self.weight, &self.bias], || {
+                let (geom, scratch) = (&self.geom, &mut self.scratch);
+                conv2d_forward_routed(geom, input, &self.weight, &self.bias, scratch)
+                    .expect("conv geometry validated at construction")
+            });
         let state = self
             .state
             .get_or_insert_with(|| LifState::new(out_shape));
@@ -151,6 +161,9 @@ impl SpikingConv2d {
     }
 
     pub(crate) fn params_mut(&mut self) -> Vec<ParamMut<'_>> {
+        // Dropping the memo's clones leaves the parameters uniquely
+        // owned, so an in-place update does not copy them.
+        self.memo.clear();
         vec![
             ParamMut {
                 name: format!("{}.weight", self.name),
@@ -262,6 +275,57 @@ mod tests {
         let s = l.forward_step(&x);
         let g = Tensor::ones(s.shape());
         let _ = l.backward_step(0, &g);
+    }
+
+    /// Membrane after two steps on `x`, with `edit` applied between
+    /// them; `copy_second` feeds the second step a deep copy of `x`,
+    /// which can never hit the memo.
+    fn membrane_after_edit(edit: impl Fn(&mut SpikingConv2d), copy_second: bool) -> Vec<u32> {
+        let mut l = tiny_layer();
+        l.begin_sequence(false);
+        let x = Tensor::from_fn(Shape::d4(1, 1, 4, 4), |i| i as f32 / 16.0);
+        l.forward_step(&x);
+        edit(&mut l);
+        let second =
+            if copy_second { Tensor::from_vec(x.shape(), x.as_slice().to_vec()).unwrap() } else { x };
+        l.forward_step(&second);
+        let membrane = &l.state.as_ref().expect("stepped").membrane;
+        membrane.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn memo_hits_on_a_shared_input() {
+        let mut l = tiny_layer();
+        l.begin_sequence(false);
+        let x = Tensor::ones(Shape::d4(1, 1, 4, 4));
+        l.forward_step(&x);
+        let first = l.memo.entry.as_ref().expect("first step fills the memo").current.clone();
+        l.forward_step(&x.clone());
+        let kept = &l.memo.entry.as_ref().expect("a hit keeps the memo").current;
+        assert!(kept.shares_buffer(&first));
+        l.forward_step(&Tensor::ones(x.shape()));
+        assert!(l.memo.entry.is_none(), "a later miss empties the memo");
+    }
+
+    #[test]
+    fn memo_misses_after_a_param_edit() {
+        let double_weight = |l: &mut SpikingConv2d| {
+            for p in l.params_mut() {
+                if p.name.ends_with("weight") {
+                    p.value.scale_in_place(2.0);
+                }
+            }
+            assert!(l.memo.entry.is_none(), "params_mut must drop the memo");
+        };
+        // An edit that bypasses params_mut detaches the memo's shared
+        // buffer (copy-on-write), so it misses too.
+        let bump_bias = |l: &mut SpikingConv2d| l.bias.as_mut_slice()[0] = 0.5;
+        let unedited = membrane_after_edit(|_| {}, false);
+        for edit in [&double_weight as &dyn Fn(&mut SpikingConv2d), &bump_bias] {
+            let memoized = membrane_after_edit(edit, false);
+            assert_ne!(memoized, unedited, "the edit must change the current");
+            assert_eq!(memoized, membrane_after_edit(edit, true), "the current must be recomputed");
+        }
     }
 
     #[test]

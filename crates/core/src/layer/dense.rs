@@ -4,7 +4,7 @@ use snn_tensor::{linalg, Init, Shape, Tensor};
 
 use crate::neuron::{lif_backward_step, lif_step, LifConfig, LifState};
 
-use super::{LayerActivity, ParamMut};
+use super::{CurrentMemo, LayerActivity, ParamMut};
 
 /// Fully-connected synapses driving a population of LIF neurons.
 ///
@@ -35,6 +35,9 @@ pub struct SpikingDense {
     carry_u: Option<Tensor>,
     total_spikes: f64,
     neuron_steps: f64,
+    /// The sequence's first synaptic current (hits when a reshape-only
+    /// layer feeds a direct-coded frame straight in).
+    memo: CurrentMemo<()>,
 }
 
 impl SpikingDense {
@@ -70,6 +73,7 @@ impl SpikingDense {
             carry_u: None,
             total_spikes: 0.0,
             neuron_steps: 0.0,
+            memo: CurrentMemo::new(),
         }
     }
 
@@ -87,6 +91,7 @@ impl SpikingDense {
         self.carry_u = None;
         self.total_spikes = 0.0;
         self.neuron_steps = 0.0;
+        self.memo.clear();
     }
 
     pub(crate) fn forward_step(&mut self, input: &Tensor) -> Tensor {
@@ -97,9 +102,14 @@ impl SpikingDense {
             "dense input shape mismatch in {}",
             self.name
         );
-        let mut current =
-            linalg::matmul_nt(input, &self.weight).expect("shape checked above");
-        linalg::add_bias_rows(&mut current, &self.bias).expect("bias shape invariant");
+        let first_step = self.state.is_none();
+        let (current, ()) =
+            self.memo.get_or_compute(first_step, [input, &self.weight, &self.bias], || {
+                let mut current =
+                    linalg::matmul_nt(input, &self.weight).expect("shape checked above");
+                linalg::add_bias_rows(&mut current, &self.bias).expect("bias shape invariant");
+                (current, ())
+            });
         let out_shape = Shape::d2(batch, self.out_features);
         let state = self.state.get_or_insert_with(|| LifState::new(out_shape));
         assert_eq!(state.membrane.shape(), out_shape, "batch size changed mid-sequence");
@@ -134,6 +144,9 @@ impl SpikingDense {
     }
 
     pub(crate) fn params_mut(&mut self) -> Vec<ParamMut<'_>> {
+        // Dropping the memo's clones leaves the parameters uniquely
+        // owned, so an in-place update does not copy them.
+        self.memo.clear();
         vec![
             ParamMut {
                 name: format!("{}.weight", self.name),

@@ -30,6 +30,67 @@ pub struct ParamMut<'a> {
     pub grad: &'a mut Tensor,
 }
 
+/// One-entry memo of a spiking layer's synaptic current `W·x + b`.
+///
+/// Direct-coded sequences present the same frame at every timestep,
+/// so the first layer's current is the same at every step. The memo
+/// keeps clones of the three operands (input, weight, bias) and
+/// reuses the current only when all three still share their buffers
+/// with those clones ([`Tensor::shares_buffer`]). Copy-on-write makes
+/// that sound: a shared buffer is never written in place, so it holds
+/// the values the current was computed from; and since the clones
+/// keep the buffers alive, no new tensor can reuse their addresses.
+///
+/// Only a sequence's first step fills the memo, and a later miss
+/// empties it: a layer whose input changed once within a sequence is
+/// not seeing a time-invariant input, and holding its tensors would
+/// only cost memory.
+#[derive(Debug, Clone)]
+pub(crate) struct CurrentMemo<R> {
+    entry: Option<MemoEntry<R>>,
+}
+
+#[derive(Debug, Clone)]
+struct MemoEntry<R> {
+    operands: [Tensor; 3],
+    current: Tensor,
+    /// Whatever else the computation reports (the conv route).
+    extra: R,
+}
+
+impl<R: Copy> CurrentMemo<R> {
+    pub(crate) fn new() -> Self {
+        CurrentMemo { entry: None }
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.entry = None;
+    }
+
+    /// The current for `operands`: memoized if the memo holds these
+    /// exact buffers, otherwise from `compute`, whose result becomes
+    /// the memo on a sequence's `first_step` and clears it after.
+    pub(crate) fn get_or_compute(
+        &mut self,
+        first_step: bool,
+        operands: [&Tensor; 3],
+        compute: impl FnOnce() -> (Tensor, R),
+    ) -> (Tensor, R) {
+        if let Some(e) = &self.entry {
+            if e.operands.iter().zip(operands).all(|(held, t)| held.shares_buffer(t)) {
+                return (e.current.clone(), e.extra);
+            }
+        }
+        let (current, extra) = compute();
+        self.entry = first_step.then(|| MemoEntry {
+            operands: operands.map(Tensor::clone),
+            current: current.clone(),
+            extra,
+        });
+        (current, extra)
+    }
+}
+
 /// Per-layer activity accumulated during a forward sequence, the raw
 /// material of the hardware workload model.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]

@@ -11,6 +11,14 @@
 //! Every kernel in the loop is exact integer arithmetic with
 //! order-independent sums, so outputs are bit-identical across thread
 //! counts and across the dense/event convolution routes.
+//!
+//! Inputs are direct-coded: the same quantized frame drives every
+//! timestep, so every stage up to and including the first spiking one
+//! sees the same input at every step. Those stages run their kernels
+//! once per batch, at t = 0, and the first spiking stage keeps its
+//! rescaled current for the later steps; only its LIF state evolves.
+//! Integer arithmetic makes this exact: the held current is the very
+//! value each step would recompute.
 
 use snn_tensor::conv::Conv2dGeometry;
 use snn_tensor::par;
@@ -40,22 +48,14 @@ enum RunStage {
         geom: Conv2dGeometry,
         w: Vec<i8>,
         wt: Vec<i8>,
-        bias_q: Vec<i32>,
-        rescale: Vec<Rescale>,
-        lif: FixedLif,
         scratch: QConvScratch,
-        acc: Vec<i32>,
-        mem: Vec<i32>,
+        neurons: Neurons,
     },
     Dense {
         wt: Vec<i8>,
         in_len: usize,
         out_n: usize,
-        bias_q: Vec<i32>,
-        rescale: Vec<Rescale>,
-        lif: FixedLif,
-        acc: Vec<i32>,
-        mem: Vec<i32>,
+        neurons: Neurons,
     },
     Pool {
         geom: Pool2dGeometry,
@@ -82,6 +82,12 @@ pub struct QuantNetwork {
     /// doubles as the LIF reset's "previous spikes".
     outs: Vec<Vec<u8>>,
     qinput: Vec<u8>,
+    /// Index of the first spiking stage: it and every stage before it
+    /// see the same input at every timestep (`stages.len()` if no
+    /// stage spikes).
+    first_spiking: usize,
+    /// That stage's rescaled current, computed at t = 0 of each batch.
+    held_current: Vec<i64>,
 }
 
 impl QuantNetwork {
@@ -107,12 +113,8 @@ impl QuantNetwork {
                         geom: *geom,
                         w: weight.values.clone(),
                         wt,
-                        bias_q: bias_q.clone(),
-                        rescale: rescale.clone(),
-                        lif: *lif,
                         scratch: QConvScratch::new(),
-                        acc: Vec::new(),
-                        mem: Vec::new(),
+                        neurons: Neurons::new(bias_q, rescale, lif, geom.out_h() * geom.out_w()),
                     });
                 }
                 QuantStage::Dense { name, weight, bias_q, rescale, lif } => {
@@ -126,11 +128,7 @@ impl QuantNetwork {
                         wt,
                         in_len: weight.per_channel,
                         out_n: weight.channels,
-                        bias_q: bias_q.clone(),
-                        rescale: rescale.clone(),
-                        lif: *lif,
-                        acc: Vec::new(),
-                        mem: Vec::new(),
+                        neurons: Neurons::new(bias_q, rescale, lif, 1),
                     });
                 }
                 QuantStage::Pool { name, geom } => {
@@ -148,6 +146,7 @@ impl QuantNetwork {
             }
         }
         let outs = vec![Vec::new(); stages.len()];
+        let first_spiking = meta.iter().position(|m| m.spiking).unwrap_or(stages.len());
         Ok(QuantNetwork {
             input_item_dims: snap.input_item_dims.clone(),
             classes: snap.classes,
@@ -158,6 +157,8 @@ impl QuantNetwork {
             meta,
             outs,
             qinput: Vec::new(),
+            first_spiking,
+            held_current: Vec::new(),
         })
     }
 
@@ -211,34 +212,51 @@ impl QuantNetwork {
             out.clear();
             out.resize(n * meta.item_len, 0);
             match stage {
-                RunStage::Conv { mem, acc, .. } | RunStage::Dense { mem, acc, .. } => {
-                    mem.clear();
-                    mem.resize(n * meta.item_len, 0);
-                    acc.clear();
-                    acc.resize(n * meta.item_len, 0);
+                RunStage::Conv { neurons, .. } | RunStage::Dense { neurons, .. } => {
+                    neurons.reset(n * meta.item_len);
                 }
                 _ => {}
             }
         }
         let mut counts = vec![0u32; n * self.classes];
         let last = self.stages.len() - 1;
-        for _t in 0..timesteps {
+        for t in 0..timesteps {
             for i in 0..self.stages.len() {
                 let (done, rest) = self.outs.split_at_mut(i);
                 let x: &[u8] = if i == 0 { &self.qinput } else { &done[i - 1] };
                 let out = &mut rest[0];
-                match &mut self.stages[i] {
-                    RunStage::Conv { geom, w, wt, bias_q, rescale, lif, scratch, acc, mem } => {
-                        qconv2d_forward_routed(geom, x, n, w, wt, acc, scratch);
-                        let plane = geom.out_h() * geom.out_w();
-                        lif_pass(acc, mem, out, bias_q, rescale, lif, plane);
+                // Up to the first spiking stage the input is the same
+                // at every step, so the t = 0 results still hold.
+                let fresh_input = t == 0 || i > self.first_spiking;
+                let neurons = match &mut self.stages[i] {
+                    RunStage::Conv { geom, w, wt, scratch, neurons } => {
+                        if fresh_input {
+                            qconv2d_forward_routed(geom, x, n, w, wt, &mut neurons.acc, scratch);
+                        }
+                        Some(neurons)
                     }
-                    RunStage::Dense { wt, in_len, out_n, bias_q, rescale, lif, acc, mem } => {
-                        qlinear_into(x, wt, acc, n, *in_len, *out_n);
-                        lif_pass(acc, mem, out, bias_q, rescale, lif, 1);
+                    RunStage::Dense { wt, in_len, out_n, neurons } => {
+                        if fresh_input {
+                            qlinear_into(x, wt, &mut neurons.acc, n, *in_len, *out_n);
+                        }
+                        Some(neurons)
                     }
-                    RunStage::Pool { geom } => pool_pass(geom, x, out, n),
-                    RunStage::Flatten => out.copy_from_slice(x),
+                    RunStage::Pool { geom } if fresh_input => {
+                        pool_pass(geom, x, out, n);
+                        None
+                    }
+                    RunStage::Flatten if fresh_input => {
+                        out.copy_from_slice(x);
+                        None
+                    }
+                    RunStage::Pool { .. } | RunStage::Flatten => None,
+                };
+                if let Some(neurons) = neurons {
+                    let hoisted = i == self.first_spiking;
+                    if hoisted && t == 0 {
+                        neurons.rescale_into(&mut self.held_current);
+                    }
+                    neurons.fire(hoisted.then_some(&self.held_current[..]), out);
                 }
                 observer(i, &self.meta[i].name, out, n);
                 if i == last {
@@ -340,32 +358,108 @@ pub fn classify_counts(counts: &[u32]) -> usize {
     best
 }
 
-/// Rescale + bias + fixed-point LIF over one stage's accumulators.
-///
-/// Elementwise (each neuron touches only its own accumulator,
-/// membrane, and previous spike), so parallel chunking is bit-exact
-/// with the serial loop. `out` enters holding the previous timestep's
-/// spikes and leaves holding this timestep's.
-fn lif_pass(
-    acc: &[i32],
-    mem: &mut [i32],
-    out: &mut [u8],
-    bias_q: &[i32],
-    rescale: &[Rescale],
-    lif: &FixedLif,
+/// A spiking stage's LIF population: requantization, membranes, and
+/// the i32 accumulators its synapses write, all laid out
+/// `[n, channels, plane]`.
+struct Neurons {
+    requant: Requant,
+    lif: FixedLif,
+    acc: Vec<i32>,
+    mem: Vec<i32>,
+}
+
+/// Per-channel accumulator → membrane-current conversion.
+struct Requant {
+    bias_q: Vec<i32>,
+    rescale: Vec<Rescale>,
+    /// Neurons per channel (`out_h·out_w` for a conv, 1 for dense).
     plane: usize,
-) {
-    let item_len = bias_q.len() * plane;
-    par::for_each_block2(mem, 1, out, 1, par::min_granules_for(12), |i0, mblock, oblock| {
-        for (j, (m, s)) in mblock.iter_mut().zip(oblock.iter_mut()).enumerate() {
-            let idx = i0 + j;
-            let oc = (idx % item_len) / plane;
-            let current = rescale[oc].apply(acc[idx]) as i64 + bias_q[oc] as i64;
-            let (m_new, spike) = lif.step(*m, *s != 0, current);
-            *m = m_new;
-            *s = spike as u8;
+}
+
+impl Requant {
+    /// Current of channel plane `g` (a flat index over `[n,
+    /// channels]`): `rescale(acc) + bias_q`, exactly, as i64.
+    fn current<'a>(&'a self, acc: &'a [i32], g: usize) -> impl Iterator<Item = i64> + 'a {
+        let oc = g % self.bias_q.len();
+        let (r, b) = (self.rescale[oc], self.bias_q[oc] as i64);
+        acc[g * self.plane..(g + 1) * self.plane].iter().map(move |&a| r.apply(a) as i64 + b)
+    }
+}
+
+impl Neurons {
+    fn new(bias_q: &[i32], rescale: &[Rescale], lif: &FixedLif, plane: usize) -> Neurons {
+        Neurons {
+            requant: Requant { bias_q: bias_q.to_vec(), rescale: rescale.to_vec(), plane },
+            lif: *lif,
+            acc: Vec::new(),
+            mem: Vec::new(),
         }
-    });
+    }
+
+    /// Zeroes membranes and accumulators for a batch of `len` neurons.
+    fn reset(&mut self, len: usize) {
+        self.mem.clear();
+        self.mem.resize(len, 0);
+        self.acc.clear();
+        self.acc.resize(len, 0);
+    }
+
+    /// Writes every neuron's current into `held`.
+    fn rescale_into(&self, held: &mut Vec<i64>) {
+        let Neurons { requant, acc, .. } = self;
+        let plane = requant.plane;
+        held.clear();
+        held.resize(acc.len(), 0);
+        par::for_each_block(held, plane, par::min_granules_for(8 * plane), |g0, block| {
+            for (g, hplane) in (g0..).zip(block.chunks_exact_mut(plane)) {
+                for (h, c) in hplane.iter_mut().zip(requant.current(acc, g)) {
+                    *h = c;
+                }
+            }
+        });
+    }
+
+    /// One fixed-point LIF step over the whole population, driven by
+    /// `held` if given and by the rescaled accumulators otherwise.
+    ///
+    /// Works one channel plane per granule, so the channel comes from
+    /// the granule index rather than a per-neuron division. Elementwise
+    /// (each neuron touches only its own current, membrane, and
+    /// previous spike), so parallel chunking is bit-exact with the
+    /// serial loop. `out` enters holding the previous timestep's
+    /// spikes and leaves holding this timestep's.
+    fn fire(&mut self, held: Option<&[i64]>, out: &mut [u8]) {
+        let Neurons { requant, lif, acc, mem } = self;
+        let plane = requant.plane;
+        let min_planes = par::min_granules_for(12 * plane);
+        par::for_each_block2(mem, plane, out, plane, min_planes, |g0, mblock, oblock| {
+            let planes = mblock.chunks_exact_mut(plane).zip(oblock.chunks_exact_mut(plane));
+            for (g, (mplane, splane)) in (g0..).zip(planes) {
+                match held {
+                    Some(cur) => {
+                        let cur = cur[g * plane..(g + 1) * plane].iter().copied();
+                        step_plane(lif, mplane, splane, cur);
+                    }
+                    None => step_plane(lif, mplane, splane, requant.current(acc, g)),
+                }
+            }
+        });
+    }
+}
+
+/// Fixed-point LIF over one channel plane.
+#[inline]
+fn step_plane(
+    lif: &FixedLif,
+    mem: &mut [i32],
+    spikes: &mut [u8],
+    current: impl Iterator<Item = i64>,
+) {
+    for ((m, s), c) in mem.iter_mut().zip(spikes.iter_mut()).zip(current) {
+        let (m_new, spike) = lif.step(*m, *s != 0, c);
+        *m = m_new;
+        *s = spike as u8;
+    }
 }
 
 /// Integer max pooling over `[n, C, H, W]` u8 activations: an OR for
@@ -424,6 +518,82 @@ mod tests {
         let cal = calibrate(&snap, &items, 4).unwrap();
         let q = quantize_snapshot(&snap, &cal, 8).unwrap();
         (QuantNetwork::from_snapshot(&q).unwrap(), items)
+    }
+
+    /// The paper topology (`32C3-P2-32C3-MP2-256-10`) at 32×32×3,
+    /// untrained (seed 5, θ = 0.25 so every stage fires), quantized to
+    /// 8 bits; three deterministic analog items.
+    fn build_paper() -> (QuantNetwork, Vec<Vec<f32>>) {
+        let lif = LifConfig { theta: 0.25, ..LifConfig::paper_default() };
+        let shape = snn_tensor::Shape::d3(3, 32, 32);
+        let net = SpikingNetwork::paper_topology(shape, 10, lif, 5).expect("network");
+        let snap = NetworkSnapshot::from_network(&net);
+        let items: Vec<Vec<f32>> = (0..3)
+            .map(|i| (0..3072).map(|j| ((i * 7 + j * 13) % 17) as f32 / 16.0).collect())
+            .collect();
+        let cal = calibrate(&snap, &items, 4).unwrap();
+        let q = quantize_snapshot(&snap, &cal, 8).unwrap();
+        (QuantNetwork::from_snapshot(&q).unwrap(), items)
+    }
+
+    /// Output counts plus each stage's activation total summed over
+    /// all timesteps.
+    fn counts_and_stage_totals(
+        net: &mut QuantNetwork,
+        items: &[Vec<f32>],
+        timesteps: usize,
+    ) -> (Vec<u32>, Vec<u64>) {
+        let mut totals = vec![0u64; net.stage_meta().len()];
+        let counts = net
+            .infer_batch_observed(items, timesteps, |i, _, acts, _| {
+                totals[i] += acts.iter().map(|&v| v as u64).sum::<u64>();
+            })
+            .unwrap();
+        (counts, totals)
+    }
+
+    /// Runs `check` at 1 and 4 threads, each on the forced dense and
+    /// the forced event route.
+    fn on_every_route_and_thread_count(mut check: impl FnMut(&str)) {
+        for threads in [1, 4] {
+            for (route, threshold) in [("dense", -1.0), ("event", 1.0)] {
+                par::with_num_threads(threads, || {
+                    with_event_density_threshold(threshold, || {
+                        check(&format!("{threads} threads, {route} route"))
+                    })
+                });
+            }
+        }
+    }
+
+    // The literals below were captured from the engine before the
+    // first spiking stage's current was hoisted out of the timestep
+    // loop, so they pin the hoist to the per-step computation.
+    #[test]
+    fn test_net_outputs_are_pinned() {
+        let (mut net, items) = build();
+        on_every_route_and_thread_count(|label| {
+            let (counts, totals) = counts_and_stage_totals(&mut net, &items, 4);
+            assert_eq!(counts, [0, 0, 0, 3].repeat(6), "{label}");
+            assert_eq!(totals, [847, 352, 352, 18], "{label}");
+        });
+    }
+
+    #[test]
+    fn paper_topology_outputs_are_pinned() {
+        let (mut net, items) = build_paper();
+        on_every_route_and_thread_count(|label| {
+            let (counts, totals) = counts_and_stage_totals(&mut net, &items, 8);
+            assert_eq!(
+                counts,
+                [
+                    8, 7, 0, 4, 0, 8, 3, 0, 0, 8, 7, 5, 0, 5, 0, 8, 3, 1, 0, 8, 7, 6, 0, 5, 0, 8,
+                    1, 0, 0, 8
+                ],
+                "{label}"
+            );
+            assert_eq!(totals, [345553, 142814, 67356, 23196, 23196, 1997, 110], "{label}");
+        });
     }
 
     #[test]

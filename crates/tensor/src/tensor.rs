@@ -85,6 +85,17 @@ impl Tensor {
         self.shape
     }
 
+    /// Whether `self` and `other` have the same shape and are views of
+    /// one buffer: clones (or reshapes) of a tensor that none of them
+    /// has written since.
+    ///
+    /// Storage is copy-on-write, so a shared buffer implies equal
+    /// values. The converse does not hold: equal values in separate
+    /// buffers compare `false`.
+    pub fn shares_buffer(&self, other: &Tensor) -> bool {
+        Arc::ptr_eq(&self.data, &other.data) && self.shape == other.shape
+    }
+
     /// Total number of elements.
     pub fn len(&self) -> usize {
         self.data.len()
@@ -531,6 +542,18 @@ mod tests {
         let s = t.to_string();
         assert!(s.contains('…'));
         assert!(s.starts_with("Tensor[100]"));
+    }
+
+    #[test]
+    fn shares_buffer_tracks_copy_on_write() {
+        let a = Tensor::from_vec(Shape::d2(2, 2), vec![1.0, 2.0, 3.0, 4.0]).unwrap();
+        let mut b = a.clone();
+        assert!(a.shares_buffer(&b));
+        assert!(!a.shares_buffer(&a.reshape(Shape::d1(4)).unwrap()), "shapes must match");
+        let copy = Tensor::from_vec(a.shape(), a.as_slice().to_vec()).unwrap();
+        assert!(!a.shares_buffer(&copy), "equal values in another buffer do not count");
+        b.as_mut_slice()[0] = 9.0;
+        assert!(!a.shares_buffer(&b), "a write detaches the buffer");
     }
 
     #[test]

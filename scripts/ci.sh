@@ -18,13 +18,9 @@ cd "$(dirname "$0")/.."
 # `cargo build` would compile only it — the smoke test below needs the
 # release `snn` binary to be current.
 cargo build --workspace --release --offline
-# Root-package integration suites (tier-1), plus the fast member-crate
-# suites for the serving stack. The remaining member suites (tensor,
-# data, accel, dse, bench) are much slower — dse's training sweeps
-# alone take ~35 min on one core — and are left to
-# `cargo test --workspace` outside the gate.
-cargo test -q --offline
-cargo test -q --offline -p snn-core -p snn-serve -p snn-pool -p snn-cli
+# Every suite of every workspace member (the root package's
+# integration tests included).
+cargo test -q --workspace --offline
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # Serve smoke test: boot the model server on an ephemeral port (the
